@@ -30,8 +30,8 @@ int main() {
   cfg.direction = ExpansionConfig::Direction::TowardOrigin;
   cfg.initial_size = 64;
 
-  Modeler modeler(backend_instance(system_a()));
-  const MeasureFn measure = modeler.make_measure_fn(req);
+  const MeasureFn measure =
+      make_measure_fn(backend_instance(system_a()), req);
   auto stepper = make_expansion_stepper(req.domain, cfg);
 
   print_comment("Fig III.4: Model Expansion construction sequence for "

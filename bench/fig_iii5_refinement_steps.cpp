@@ -26,8 +26,8 @@ int main() {
 
   const RefinementConfig cfg = paper_refinement_config();
 
-  Modeler modeler(backend_instance(system_a()));
-  const MeasureFn measure = modeler.make_measure_fn(req);
+  const MeasureFn measure =
+      make_measure_fn(backend_instance(system_a()), req);
   auto stepper = make_refinement_stepper(req.domain, cfg);
 
   print_comment("Fig III.5: Adaptive Refinement construction sequence for "

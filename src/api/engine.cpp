@@ -24,14 +24,10 @@ struct PoolScope {
   ~PoolScope() { tls_on_engine_pool = prev; }
 };
 
-/// True when `model` exists and its domain covers `needed` (no constraint
-/// when the trace had no non-degenerate call for the key).
-bool covers_needed(const RoutineModel* model,
-                   const std::optional<Region>& needed) {
-  if (model == nullptr) return false;
-  if (!needed.has_value()) return true;
-  return model->model.domain().dims() == needed->dims() &&
-         model->model.domain().covers(*needed);
+/// True when `model` exists and its domain covers `needed`.
+bool covers_needed(const RoutineModel* model, const Region& needed) {
+  return model != nullptr && model->model.domain().dims() == needed.dims() &&
+         model->model.domain().covers(needed);
 }
 
 Status internal_error(const char* where, const std::exception& e) {
@@ -91,7 +87,7 @@ Engine::PlanFn Engine::spec_plan(std::vector<OperationSpec> specs,
 
 std::shared_ptr<CompiledSweepPoint> Engine::compile_trace(
     const CallTrace& trace, const SystemSpec& system) {
-  CompiledTrace compiled = CompiledTrace::compile(trace, config_.prediction);
+  CompiledTrace compiled = CompiledTrace::compile(trace);
   std::vector<int> ids;
   ids.reserve(compiled.keys().size());
   for (const CompiledKey& key : compiled.keys()) {
@@ -140,11 +136,8 @@ Status Engine::resolve(
     // one Need per interned id, bounding boxes over UNIQUE entries only.
     struct Need {
       ModelKey key;
-      std::optional<Region> needed;  // box of non-degenerate unique calls
+      Region needed;  // bounding box of the key's unique calls
       std::vector<index_t> lo, hi;
-      bool evaluated_degenerate = false;  // degenerate entries that WILL
-                                          // be clamp-evaluated (only with
-                                          // skip_empty_calls off)
     };
     std::map<int, Need> needs;
     for (const std::size_t i : stale) {
@@ -159,10 +152,6 @@ Status Engine::resolve(
         }
         for (const std::uint32_t e : trace.entries_of(static_cast<int>(k))) {
           const CompiledCall& call = trace.entries()[e];
-          if (call.degenerate) {
-            need.evaluated_degenerate = true;  // clamp-evaluated if predicted
-            continue;
-          }
           if (need.lo.empty()) {
             need.lo = call.sizes;
             need.hi = call.sizes;
@@ -175,9 +164,9 @@ Status Engine::resolve(
         }
       }
     }
-    for (auto& [id, need] : needs) {
-      if (!need.lo.empty()) need.needed = Region(need.lo, need.hi);
-    }
+    // Every compiled key has at least one entry (zero-size calls never
+    // compile into one), so every box is non-empty.
+    for (auto& [id, need] : needs) need.needed = Region(need.lo, need.hi);
 
     // --- Phase A: satisfy from the engine cache, then the repository. ---
     std::map<int, std::shared_ptr<const RoutineModel>> resolved;
@@ -202,23 +191,7 @@ Status Engine::resolve(
       if (resolved.count(id) != 0) continue;
       std::shared_ptr<const RoutineModel> stored = service_.find(need.key);
       if (covers_needed(stored.get(), need.needed)) {
-        // With no needed region (degenerate-only key) any stored model
-        // covers: its clamp-evaluation answers the zero-size calls.
         resolved[id] = std::move(stored);
-        continue;
-      }
-      if (!need.needed.has_value()) {
-        // Only degenerate calls reference this key, so no domain can be
-        // planned for it. With skip_empty_calls such calls never compile
-        // into entries; without it the missing model must surface as a
-        // status, not a silent zero contribution.
-        if (need.evaluated_degenerate) {
-          return Status::error(
-              StatusCode::MissingModel,
-              "no model for " + need.key.to_string() +
-                  " and only zero-size calls reference it, so none can "
-                  "be planned (skip_empty_calls is off)");
-        }
         continue;
       }
       if (!config_.generate_missing) {
@@ -231,7 +204,7 @@ Status Engine::resolve(
             StatusCode::UncoveredDomain,
             "stored model " + need.key.to_string() + " covers " +
                 stored->model.domain().to_string() + " but the query needs " +
-                need.needed->to_string() +
+                need.needed.to_string() +
                 " and on-demand generation is disabled");
       }
       if (!planned_built) {
@@ -289,14 +262,13 @@ Status Engine::resolve(
 
     // --- Phase C: verify coverage, warm the model cache, stamp slots. --
     for (const auto& [id, need] : needs) {
-      const auto it = resolved.find(id);
-      if (it == resolved.end()) continue;  // degenerate-only key, no model
-      if (!covers_needed(it->second.get(), need.needed)) {
+      const RoutineModel* model = resolved.at(id).get();
+      if (!covers_needed(model, need.needed)) {
         return Status::error(
             StatusCode::UncoveredDomain,
             "model " + need.key.to_string() + " covers " +
-                it->second->model.domain().to_string() +
-                " but the query needs " + need.needed->to_string());
+                model->model.domain().to_string() +
+                " but the query needs " + need.needed.to_string());
       }
     }
     bool changed = false;

@@ -1,10 +1,11 @@
 #pragma once
-// The Modeler (paper Section III): generates piecewise-polynomial
-// performance models for routines automatically, by driving the Sampler
-// through one of the two generation strategies. Each model is specific to
-// a (routine, flag combination, implementation/backend, memory locality)
-// tuple -- the "fixed implementation, system, and memory locality
-// situation" of Section III-B.
+// The Modeler (paper Section III): what a performance model is and how it
+// is generated -- the model identity, the modeling request, and the
+// measurement source that drives the Sampler through one of the two
+// generation strategies (modeler/strategies.hpp). Each model is specific
+// to a (routine, flag combination, implementation/backend, memory
+// locality) tuple -- the "fixed implementation, system, and memory
+// locality situation" of Section III-B.
 
 #include <string>
 #include <string_view>
@@ -83,7 +84,7 @@ struct ModelKeyLess {
 /// Where a RoutineModel came from (provenance surfaced through the
 /// service's GenerationStats and the engine's PrepareReport).
 enum class ModelSource {
-  Generated,  ///< built by the Modeler in this process
+  Generated,  ///< generated in this process
   TextFile,   ///< deserialized from a per-model text file
   Container,  ///< loaded from a .dlapc binary container
 };
@@ -131,44 +132,12 @@ struct ModelingRequest {
 [[nodiscard]] KernelCall make_call(const ModelingRequest& request,
                                    const std::vector<index_t>& point);
 
-/// A Modeler instance drives one backend. It holds no mutable state of its
-/// own, so distinct instances (each with its own backend) are safe to run
-/// concurrently from different threads -- the model service does exactly
-/// that; one instance is also safe to drive from multiple threads when its
-/// backend's kernels are reentrant. Engine-wide measurement reuse (the
-/// sample store and its on-disk journals) is NOT the Modeler's concern:
-/// the service's MeasurementScheduler layers it over the per-point
-/// measure function this class produces.
-class Modeler {
- public:
-  explicit Modeler(Level3Backend& backend) : backend_(&backend) {}
-
-  /// Measurement source for the request (caching is applied inside the
-  /// strategies, not here).
-  [[nodiscard]] MeasureFn make_measure_fn(const ModelingRequest& request);
-
-  [[nodiscard]] RoutineModel build_expansion(const ModelingRequest& request,
-                                             const ExpansionConfig& config);
-  [[nodiscard]] RoutineModel build_refinement(const ModelingRequest& request,
-                                              const RefinementConfig& config);
-
-  /// Batch generation: one model per request, in request order, all
-  /// sequential on this Modeler's backend. This is the reference path the
-  /// concurrent ModelService::generate_all is checked against.
-  [[nodiscard]] std::vector<RoutineModel> build_batch(
-      const std::vector<ModelingRequest>& requests,
-      const RefinementConfig& config);
-
-  /// Full generation result (with events) for strategy-analysis benches.
-  [[nodiscard]] GenerationResult run_expansion(const ModelingRequest& request,
-                                               const ExpansionConfig& config);
-  [[nodiscard]] GenerationResult run_refinement(
-      const ModelingRequest& request, const RefinementConfig& config);
-
- private:
-  [[nodiscard]] ModelKey key_for(const ModelingRequest& request) const;
-
-  Level3Backend* backend_;
-};
+/// Measurement source for the request on `backend`: one Sampler shared by
+/// every point of a generation run, timing make_call(request, point). The
+/// backend must outlive the returned function. Caching is not applied
+/// here: the model service's MeasurementScheduler layers the engine-wide
+/// sample store over this per-point function.
+[[nodiscard]] MeasureFn make_measure_fn(Level3Backend& backend,
+                                        const ModelingRequest& request);
 
 }  // namespace dlap

@@ -6,10 +6,8 @@
 
 namespace dlap {
 
-CompiledTrace CompiledTrace::compile(const CallTrace& trace,
-                                     const PredictionOptions& options) {
+CompiledTrace CompiledTrace::compile(const CallTrace& trace) {
   CompiledTrace out;
-  out.skip_empty_ = options.skip_empty_calls;
   out.source_calls_ = static_cast<index_t>(trace.size());
   out.order_.reserve(trace.size());
 
@@ -20,7 +18,7 @@ CompiledTrace CompiledTrace::compile(const CallTrace& trace,
   std::map<std::pair<int, std::vector<index_t>>, std::int32_t> entry_ids;
 
   for (const KernelCall& call : trace) {
-    if (options.skip_empty_calls && call_is_degenerate(call)) {
+    if (call_is_degenerate(call)) {
       ++out.skipped_;
       out.order_.push_back(kSkippedCall);
       continue;
@@ -48,7 +46,6 @@ CompiledTrace CompiledTrace::compile(const CallTrace& trace,
       }
       entry.flops = call_flops(call);
       entry.multiplicity = 0;
-      entry.degenerate = call_is_degenerate(call);
       entry_it = entry_ids.emplace(
           entry_probe,
           static_cast<std::int32_t>(out.entries_.size())).first;

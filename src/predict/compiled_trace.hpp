@@ -7,8 +7,8 @@
 // (routine, flags, sizes) tuples, and every unblocked diagonal call of
 // trinv/chol repeats the same full-block size. Compiling a CallTrace
 // dedupes it into
-//   - keys:    the distinct (routine, flags) resolver keys (what a model
-//              is looked up by),
+//   - keys:    the distinct (routine, flags) pairs models are looked
+//              up by,
 //   - entries: the unique (key, size point) calls, each carrying its
 //              multiplicity and precomputed flop count,
 //   - order:   per source call, the entry it deduped into (or "skipped"),
@@ -21,7 +21,7 @@
 // variance for the stddev) -- costs a few additions per call but keeps
 // the result BIT-identical to Predictor::predict for arbitrary model
 // values: floating-point addition is not associative, so any regrouping
-// would drift in the last ulps. The expensive work (resolver lookups,
+// would drift in the last ulps. The expensive work (model lookups,
 // region search, polynomial evaluation) is per unique entry either way.
 
 #include <cstdint>
@@ -48,22 +48,16 @@ struct CompiledCall {
   std::vector<double> point;    ///< sizes as doubles (evaluation input)
   double flops = 0.0;           ///< flops of ONE occurrence
   index_t multiplicity = 0;     ///< occurrences in the source trace
-  bool degenerate = false;      ///< any zero size (present only when
-                                ///< compiled with skip_empty_calls off)
 };
 
 class CompiledTrace {
  public:
   CompiledTrace() = default;
 
-  /// Compiles `trace`. With options.skip_empty_calls (the default),
-  /// degenerate zero-size calls are counted and dropped -- they never
-  /// reach a model, exactly as in Predictor::predict. options.strict is
-  /// irrelevant here (predict() is table-driven and never throws on
-  /// missing models, like predict_with_table).
-  [[nodiscard]] static CompiledTrace compile(const CallTrace& trace,
-                                             const PredictionOptions& options =
-                                                 {});
+  /// Compiles `trace`. Degenerate zero-size calls are counted and
+  /// dropped -- they never reach a model, exactly as in
+  /// Predictor::predict.
+  [[nodiscard]] static CompiledTrace compile(const CallTrace& trace);
 
   [[nodiscard]] const std::vector<CompiledKey>& keys() const noexcept {
     return keys_;
@@ -86,17 +80,13 @@ class CompiledTrace {
   [[nodiscard]] index_t unique_calls() const noexcept {
     return static_cast<index_t>(entries_.size());
   }
-  /// Degenerate calls dropped at compile time (skip_empty_calls only).
+  /// Degenerate calls dropped at compile time.
   [[nodiscard]] index_t skipped() const noexcept { return skipped_; }
-  [[nodiscard]] bool skip_empty_calls() const noexcept {
-    return skip_empty_;
-  }
 
   /// Predicts against pre-resolved models: models_by_key[k] is the model
   /// for keys()[k] (nullptr = missing; such entries' occurrences count
   /// into Prediction::missing, never throw). The result is bit-identical
-  /// to Predictor::predict / predict_with_table over the source trace
-  /// with the same models and options.
+  /// to Predictor::predict over the source trace with the same models.
   [[nodiscard]] Prediction predict(
       const std::vector<const RoutineModel*>& models_by_key) const;
 
@@ -109,7 +99,6 @@ class CompiledTrace {
   std::vector<std::int32_t> order_;
   index_t source_calls_ = 0;
   index_t skipped_ = 0;
-  bool skip_empty_ = true;
 
   static constexpr std::int32_t kSkippedCall = -1;
 };

@@ -1,58 +1,10 @@
 #include "predict/predictor.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sampler/machine.hpp"
 
 namespace dlap {
-
-namespace {
-
-/// The one accumulation loop every predict path shares. `resolve(call, i)`
-/// returns the model for trace[i] (nullptr = missing); `on_missing(call)`
-/// runs for every missed call (it may throw -- strict mode -- or record
-/// the key). Keeping a single loop guarantees the string-keyed and the
-/// interned paths produce bit-identical results.
-template <class ResolveFn, class MissFn>
-Prediction accumulate_trace(const CallTrace& trace,
-                            const PredictionOptions& options,
-                            ResolveFn&& resolve, MissFn&& on_missing) {
-  Prediction out;
-  double var_sum = 0.0;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const KernelCall& call = trace[i];
-    if (options.skip_empty_calls && call_is_degenerate(call)) {
-      ++out.skipped;
-      continue;
-    }
-    const RoutineModel* m = resolve(call, i);
-    if (m == nullptr) {
-      ++out.missing;
-      on_missing(call);
-      continue;
-    }
-    const SampleStats est = m->model.evaluate(call.sizes);
-    out.ticks.min += est.min;
-    out.ticks.median += est.median;
-    out.ticks.mean += est.mean;
-    out.ticks.max += est.max;
-    var_sum += est.stddev * est.stddev;
-    out.flops += call_flops(call);
-    ++out.calls;
-  }
-  out.ticks.stddev = std::sqrt(var_sum);
-  out.ticks.count = out.calls;
-  return out;
-}
-
-[[noreturn]] void throw_missing(const KernelCall& call) {
-  throw lookup_error(std::string("no model for ") +
-                     routine_name(call.routine) + " flags '" +
-                     call.flag_key() + "'");
-}
-
-}  // namespace
 
 void ModelSet::add(RoutineModel model) {
   add(std::make_shared<const RoutineModel>(std::move(model)));
@@ -81,71 +33,33 @@ double Prediction::efficiency_median(double total_flops) const {
   return efficiency(total_flops, ticks.median);
 }
 
-Predictor::Predictor(const ModelSet& models, PredictionOptions options)
-    : resolve_([set = &models](std::string_view routine,
-                               std::string_view flags) {
-        return set->find(routine, flags);
-      }),
-      options_(options) {}
-
-Predictor::Predictor(ModelResolver resolver, PredictionOptions options)
-    : resolve_(std::move(resolver)), options_(options) {
-  DLAP_REQUIRE(resolve_ != nullptr, "Predictor: null model resolver");
-}
-
-SampleStats Predictor::predict_call(const KernelCall& call) const {
-  const RoutineModel* m =
-      resolve_(routine_name(call.routine), call.flag_view());
-  if (m == nullptr) throw_missing(call);
-  return m->model.evaluate(call.sizes);
-}
-
 Prediction Predictor::predict(const CallTrace& trace) const {
-  return accumulate_trace(
-      trace, options_,
-      [this](const KernelCall& call, std::size_t) {
-        // Views straight off the call: no string construction per call.
-        return resolve_(routine_name(call.routine), call.flag_view());
-      },
-      [this](const KernelCall& call) {
-        if (options_.strict) throw_missing(call);
-      });
-}
-
-PredictReport Predictor::predict_report(const CallTrace& trace) const {
-  PredictReport report;
-  report.prediction = accumulate_trace(
-      trace, options_,
-      [this](const KernelCall& call, std::size_t) {
-        return resolve_(routine_name(call.routine), call.flag_view());
-      },
-      [&report](const KernelCall& call) {
-        auto key = std::make_pair(std::string(routine_name(call.routine)),
-                                  call.flag_key());
-        if (std::find(report.missing_keys.begin(), report.missing_keys.end(),
-                      key) == report.missing_keys.end()) {
-          report.missing_keys.push_back(std::move(key));
-        }
-      });
-  return report;
-}
-
-Prediction predict_with_table(const CallTrace& trace,
-                              const std::vector<int>& ids,
-                              const std::vector<const RoutineModel*>& models,
-                              const PredictionOptions& options) {
-  DLAP_REQUIRE(ids.size() == trace.size(),
-               "predict_with_table: one id per traced call");
-  return accumulate_trace(
-      trace, options,
-      [&](const KernelCall&, std::size_t i) -> const RoutineModel* {
-        const int id = ids[i];
-        if (id < 0 || static_cast<std::size_t>(id) >= models.size()) {
-          return nullptr;
-        }
-        return models[static_cast<std::size_t>(id)];
-      },
-      [](const KernelCall&) {});
+  Prediction out;
+  double var_sum = 0.0;
+  for (const KernelCall& call : trace) {
+    if (call_is_degenerate(call)) {
+      ++out.skipped;
+      continue;
+    }
+    // Views straight off the call: no string construction per call.
+    const RoutineModel* m =
+        models_->find(routine_name(call.routine), call.flag_view());
+    if (m == nullptr) {
+      ++out.missing;
+      continue;
+    }
+    const SampleStats est = m->model.evaluate(call.sizes);
+    out.ticks.min += est.min;
+    out.ticks.median += est.median;
+    out.ticks.mean += est.mean;
+    out.ticks.max += est.max;
+    var_sum += est.stddev * est.stddev;
+    out.flops += call_flops(call);
+    ++out.calls;
+  }
+  out.ticks.stddev = std::sqrt(var_sum);
+  out.ticks.count = out.calls;
+  return out;
 }
 
 }  // namespace dlap

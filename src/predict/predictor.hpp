@@ -4,13 +4,11 @@
 // performance model; the results are then accumulated, thus generating a
 // performance prediction."
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "modeler/modeler.hpp"
 #include "predict/trace.hpp"
@@ -57,17 +55,6 @@ class ModelSet {
       models_;
 };
 
-struct PredictionOptions {
-  /// Calls with any zero-size argument perform no flops; skip them rather
-  /// than evaluating models outside their domain (degenerate calls appear
-  /// naturally in traces, e.g. the first trinv iteration's dtrmm with
-  /// n = 0).
-  bool skip_empty_calls = true;
-  /// When a model for a traced call is missing: throw (default) or count
-  /// the call in Prediction::missing and move on.
-  bool strict = true;
-};
-
 struct Prediction {
   /// Accumulated tick statistics: sums of min/median/mean/max, stddev
   /// combined as sqrt of summed variances (independence assumption).
@@ -75,7 +62,7 @@ struct Prediction {
   double flops = 0.0;
   index_t calls = 0;    ///< calls that contributed estimates
   index_t skipped = 0;  ///< degenerate (zero-work) calls
-  index_t missing = 0;  ///< calls without a model (non-strict mode)
+  index_t missing = 0;  ///< calls without a model
 
   /// Efficiency estimate for a given total flop count (callers often use
   /// the operation's nominal flop formula rather than the trace sum).
@@ -85,61 +72,22 @@ struct Prediction {
   [[nodiscard]] double efficiency_median(double total_flops) const;
 };
 
-/// Outcome of a non-throwing prediction: the accumulated prediction plus
-/// the distinct (routine, flags) pairs that had no model, in first-miss
-/// order. Prediction::missing counts every affected call; missing_keys
-/// names each key once.
-struct PredictReport {
-  Prediction prediction;
-  std::vector<std::pair<std::string, std::string>> missing_keys;
-
-  [[nodiscard]] bool complete() const { return missing_keys.empty(); }
-};
-
-/// Where a Predictor gets its models: maps (routine name, flag values) to
-/// a model, or nullptr when none covers the pair. The repository-backed
-/// predictor plugs lazy repository loads (and on-demand generation) in
-/// through this seam. Arguments are views over the caller's trace data,
-/// valid only for the duration of the call -- resolvers that cache must
-/// copy them.
-using ModelResolver =
-    std::function<const RoutineModel*(std::string_view routine,
-                                      std::string_view flags)>;
-
+/// The string-keyed reference prediction: one ModelSet lookup and one
+/// model evaluation per traced call, accumulated in trace order. The
+/// engine's CompiledTrace path is checked bit-identical against it.
+/// Degenerate zero-size calls perform no flops and are counted in
+/// Prediction::skipped (they appear naturally in traces, e.g. the first
+/// trinv iteration's dtrmm with n = 0); calls without a model are counted
+/// in Prediction::missing. Never throws on a missing model.
 class Predictor {
  public:
-  /// Predicts from a fixed, pre-assembled set. The set must outlive the
-  /// predictor.
-  explicit Predictor(const ModelSet& models, PredictionOptions options = {});
-
-  /// Predicts through a resolver (e.g. backed by the model repository).
-  explicit Predictor(ModelResolver resolver, PredictionOptions options = {});
+  /// The set must outlive the predictor.
+  explicit Predictor(const ModelSet& models) : models_(&models) {}
 
   [[nodiscard]] Prediction predict(const CallTrace& trace) const;
 
-  /// Non-throwing core: like predict() with strict = false regardless of
-  /// options, but additionally reports which keys were missing so callers
-  /// can diagnose (the engine turns these into MissingModel statuses).
-  [[nodiscard]] PredictReport predict_report(const CallTrace& trace) const;
-
-  /// Convenience: prediction for a single call.
-  [[nodiscard]] SampleStats predict_call(const KernelCall& call) const;
-
  private:
-  ModelResolver resolve_;
-  PredictionOptions options_;
+  const ModelSet* models_;
 };
-
-/// Hot-path prediction over pre-resolved models: models[ids[i]] is the
-/// model for trace[i] (ids.size() == trace.size(); negative or
-/// out-of-range ids and nullptr entries count as missing, never throw).
-/// The loop performs no resolver calls, no string construction and no
-/// locking -- only array indexing -- and accumulates in exactly the same
-/// order and arithmetic as Predictor::predict, so results are
-/// bit-identical to the string-keyed path.
-[[nodiscard]] Prediction predict_with_table(
-    const CallTrace& trace, const std::vector<int>& ids,
-    const std::vector<const RoutineModel*>& models,
-    const PredictionOptions& options = {});
 
 }  // namespace dlap

@@ -128,7 +128,6 @@ std::shared_ptr<const RoutineModel> ModelService::generate_one(
   // per-backend-instance exclusivity real timing requires.
   MeasureFn measure;
   std::unique_ptr<Level3Backend> backend;
-  std::optional<Modeler> modeler;
   MeasurementScheduler::Mode mode = MeasurementScheduler::Mode::Exclusive;
   if (config_.measure_factory) {
     measure = config_.measure_factory(job);
@@ -137,8 +136,7 @@ std::shared_ptr<const RoutineModel> ModelService::generate_one(
     if (!sequential) mode = MeasurementScheduler::Mode::Parallel;
   } else {
     backend = make_backend(job.backend);
-    modeler.emplace(*backend);
-    measure = modeler->make_measure_fn(job.request);
+    measure = make_measure_fn(*backend, job.request);
   }
 
   // The strategy declares what it needs, batch by batch; the scheduler

@@ -20,10 +20,9 @@
 //     key, each worker sampling on its OWN backend instance so
 //     measurements never interfere.
 //
-// Callers hand it ModelJobs and get repository-cached models back;
-// RepositoryBackedPredictor (service/repository_predictor.hpp) closes the
-// loop by resolving models lazily -- generating missing ones on demand --
-// during prediction.
+// Callers hand it ModelJobs and get repository-cached models back; the
+// Engine (api/engine.hpp) closes the loop by resolving models lazily --
+// generating missing ones on demand -- during prediction.
 
 #include <cstdint>
 #include <filesystem>

@@ -75,6 +75,14 @@ struct TempEngine {
   Engine engine;
 };
 
+/// A one-call raw trace: a key no trinv spec needs.
+CallTrace one_trsm_call(index_t m, index_t n) {
+  return {parse_call("dtrsm(L,U,N,N," + std::to_string(m) + "," +
+                     std::to_string(n) + ",1,A,256,B,256)")};
+}
+
+const ModelKey kOneTrsmKey{"dtrsm", "blocked", Locality::InCache, "LUNN"};
+
 void expect_identical(const Prediction& a, const Prediction& b) {
   EXPECT_EQ(a.ticks.min, b.ticks.min);
   EXPECT_EQ(a.ticks.median, b.ticks.median);
@@ -178,7 +186,9 @@ TEST(Plan, DerivesOneJobPerDistinctKeyWithCoveringDomain) {
       }
       bool zero = false;
       for (index_t s : call.sizes) zero = zero || s == 0;
-      if (!zero) EXPECT_TRUE(job.request.domain.contains(call.sizes));
+      if (!zero) {
+        EXPECT_TRUE(job.request.domain.contains(call.sizes));
+      }
     }
   }
 }
@@ -234,6 +244,49 @@ TEST(Engine, PredictsSpecAndGeneratesModelsOnDemand) {
   EXPECT_GT(t.engine.interned_keys(), 0u);
   // Models landed in the repository.
   EXPECT_GT(t.engine.service().repository().list().size(), 0u);
+
+  // A raw trace whose key no spec planned generates on demand too.
+  EXPECT_FALSE(t.engine.service().repository().contains(kOneTrsmKey));
+  const auto raw = t.engine.predict(PredictQuery::of(one_trsm_call(64, 64)));
+  ASSERT_TRUE(raw.ok()) << raw.status().to_string();
+  EXPECT_EQ(raw->calls, 1);
+  EXPECT_GT(raw->ticks.median, 0.0);
+  EXPECT_TRUE(t.engine.service().repository().contains(kOneTrsmKey));
+}
+
+TEST(Engine, LazilyLoadsOnlyTheModelsAQueryNeeds) {
+  const std::string name = "dlap_test_api_lazy";
+  EngineConfig cfg = test_config(name);
+  cfg.generate_missing = false;
+  TempEngine t(name, std::move(cfg));
+  {
+    // A repository holding four generated models.
+    ModelService generator(test_config(name).service);
+    const Region d2({8, 8}, {128, 128});
+    std::vector<ModelJob> jobs(4);
+    jobs[0].request.routine = RoutineId::Trsm;
+    jobs[0].request.flags = {'L', 'U', 'N', 'N'};
+    jobs[1].request.routine = RoutineId::Trsm;
+    jobs[1].request.flags = {'R', 'L', 'N', 'N'};
+    jobs[2].request.routine = RoutineId::Trmm;
+    jobs[2].request.flags = {'R', 'L', 'N', 'N'};
+    jobs[3].request.routine = RoutineId::Syrk;
+    jobs[3].request.flags = {'L', 'N'};
+    for (ModelJob& job : jobs) job.request.domain = d2;
+    ASSERT_EQ(generator.generate_all(jobs).size(), 4u);
+  }
+  const ModelRepository& repo = t.engine.service().repository();
+  EXPECT_EQ(repo.cache_size(), 0u);
+
+  const auto first = t.engine.predict(PredictQuery::of(one_trsm_call(64, 64)));
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  EXPECT_EQ(first->calls, 1);
+  EXPECT_GT(first->ticks.median, 0.0);
+  EXPECT_EQ(repo.cache_size(), 1u);  // only the model the trace needed
+
+  // Another point of the same key resolves from the engine's cache.
+  ASSERT_TRUE(t.engine.predict(PredictQuery::of(one_trsm_call(96, 96))).ok());
+  EXPECT_EQ(repo.cache_size(), 1u);
 }
 
 TEST(Engine, InternedPathBitIdenticalToStringKeyedPath) {
@@ -430,24 +483,16 @@ TEST(Engine, InvalidSpecsReportInvalidQuery) {
   EXPECT_EQ(bad_tune.status().code, StatusCode::InvalidQuery);
 }
 
-TEST(Engine, DegenerateOnlyKeyReportsMissingWhenEmptyCallsAreEvaluated) {
-  EngineConfig cfg = test_config("dlap_test_api_degen");
-  cfg.prediction.skip_empty_calls = false;
-  TempEngine t("dlap_test_api_degen", std::move(cfg));
-  // The only call for this key is zero-size: no model can be planned, and
-  // with skip_empty_calls off the miss must surface as a status rather
-  // than a silent zero-time prediction.
+TEST(Engine, DegenerateOnlyTraceIsAValidNoOp) {
+  // The only call is zero-size: it is skipped, never resolved, so the
+  // query needs no model at all.
+  TempEngine t("dlap_test_api_degen_skip");
   const CallTrace trace{parse_call("dgemm(N,N,0,64,64,1,A,64,B,64,0,C,64)")};
-  const auto result = t.engine.predict(PredictQuery::of(trace));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code, StatusCode::MissingModel);
-
-  // With the default skip behavior the same query is a valid no-op.
-  TempEngine skip("dlap_test_api_degen_skip");
-  const auto skipped = skip.engine.predict(PredictQuery::of(trace));
+  const auto skipped = t.engine.predict(PredictQuery::of(trace));
   ASSERT_TRUE(skipped.ok()) << skipped.status().to_string();
   EXPECT_EQ(skipped->skipped, 1);
   EXPECT_EQ(skipped->calls, 0);
+  EXPECT_EQ(t.engine.service().repository().list().size(), 0u);
 }
 
 TEST(Engine, MissingModelWhenGenerationDisabled) {
@@ -458,6 +503,11 @@ TEST(Engine, MissingModelWhenGenerationDisabled) {
       t.engine.predict(PredictQuery::of(OperationSpec::trinv(1, 128, 32)));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code, StatusCode::MissingModel);
+
+  // A raw trace misses the same way.
+  const auto raw = t.engine.predict(PredictQuery::of(one_trsm_call(64, 64)));
+  ASSERT_FALSE(raw.ok());
+  EXPECT_EQ(raw.status().code, StatusCode::MissingModel);
 }
 
 TEST(Engine, UncoveredDomainWhenGenerationDisabled) {

@@ -126,7 +126,9 @@ TEST(CompiledTrace, DedupesSylvTraceToUniqueShapes) {
   index_t occurrences = 0;
   for (const CompiledCall& entry : compiled.entries()) {
     EXPECT_GT(entry.multiplicity, 0);
-    EXPECT_FALSE(entry.degenerate);  // dropped under skip_empty_calls
+    for (const index_t size : entry.sizes) {
+      EXPECT_GT(size, 0);  // zero-size calls are dropped, never entries
+    }
     occurrences += entry.multiplicity;
   }
   EXPECT_EQ(occurrences + compiled.skipped(), compiled.source_calls());
@@ -165,32 +167,10 @@ TEST(CompiledTrace, BitIdenticalWithMissingModels) {
   const CallTrace trace = trace_trinv(1, 250, 100);
   ModelSet set;  // dtrmm present, dtrsm and trinv1_unb missing
   set.add(fitted_model("dtrmm", "RLNN", 2));
-  PredictionOptions lax;
-  lax.strict = false;
-  const Prediction reference = Predictor(set, lax).predict(trace);
-  const CompiledTrace compiled = CompiledTrace::compile(trace, lax);
+  const Prediction reference = Predictor(set).predict(trace);
+  const CompiledTrace compiled = CompiledTrace::compile(trace);
   const Prediction via_compiled = compiled.predict(table_for(compiled, set));
   EXPECT_GT(via_compiled.missing, 0);
-  expect_identical(via_compiled, reference);
-}
-
-TEST(CompiledTrace, BitIdenticalWhenDegenerateCallsAreEvaluated) {
-  // skip_empty_calls off: the zero-size first-iteration calls become
-  // clamp-evaluated entries instead of being dropped.
-  PredictionOptions opts;
-  opts.skip_empty_calls = false;
-  const CallTrace trace = trace_trinv(1, 250, 100);
-  const ModelSet set = models_for(trace);
-  const Prediction reference = Predictor(set, opts).predict(trace);
-  const CompiledTrace compiled = CompiledTrace::compile(trace, opts);
-  EXPECT_EQ(compiled.skipped(), 0);
-  bool saw_degenerate = false;
-  for (const CompiledCall& e : compiled.entries()) {
-    saw_degenerate = saw_degenerate || e.degenerate;
-  }
-  EXPECT_TRUE(saw_degenerate);
-  const Prediction via_compiled = compiled.predict(table_for(compiled, set));
-  EXPECT_EQ(via_compiled.skipped, 0);
   expect_identical(via_compiled, reference);
 }
 
@@ -459,9 +439,7 @@ Prediction repository_reference(Engine& engine, const OperationSpec& spec) {
                  engine.config().system.locality, call.flag_key()});
     if (model != nullptr) set.add(std::move(model));
   }
-  PredictionOptions lax;
-  lax.strict = false;
-  return Predictor(set, lax).predict(trace);
+  return Predictor(set).predict(trace);
 }
 
 TEST(EngineCompiled, RepeatedSweepHitsTraceCache) {
@@ -522,35 +500,6 @@ TEST(EngineCompiled, CachedSweepInvalidatedOnModelRegeneration) {
   const auto after = t.engine.predict(PredictQuery::of(small));
   ASSERT_TRUE(after.ok());
   expect_identical(*after, repository_reference(t.engine, small));
-}
-
-TEST(EngineCompiled, DegenerateOnlyKeyServedFromStoredModelWhenEvaluated) {
-  // skip_empty_calls off + a key referenced ONLY by zero-size calls: no
-  // domain can be planned, but a model already in the repository answers
-  // via clamp-evaluation -- the repository must be consulted before the
-  // MissingModel error.
-  EngineConfig cfg = test_config("dlap_test_compiled_degenstore");
-  cfg.prediction.skip_empty_calls = false;
-  TempEngine t("dlap_test_compiled_degenstore", std::move(cfg));
-  // Seed the repository with a dgemm/NN model via a non-degenerate trace.
-  const CallTrace full{parse_call("dgemm(N,N,64,64,64,1,A,64,B,64,0,C,64)")};
-  ASSERT_TRUE(t.engine.predict(PredictQuery::of(full)).ok());
-  // The degenerate-only query must now resolve from the stored model.
-  const CallTrace degen{
-      parse_call("dgemm(N,N,0,64,64,1,A,64,B,64,0,C,64)")};
-  const auto result = t.engine.predict(PredictQuery::of(degen));
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(result->skipped, 0);
-  EXPECT_EQ(result->calls, 1);  // clamp-evaluated, not skipped or missing
-  EXPECT_EQ(result->missing, 0);
-
-  // Without a stored model the miss still surfaces as a status.
-  EngineConfig cfg2 = test_config("dlap_test_compiled_degenmiss");
-  cfg2.prediction.skip_empty_calls = false;
-  TempEngine miss("dlap_test_compiled_degenmiss", std::move(cfg2));
-  const auto failed = miss.engine.predict(PredictQuery::of(degen));
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code, StatusCode::MissingModel);
 }
 
 TEST(EngineCompiled, SpecAndEquivalentRawTraceAgree) {

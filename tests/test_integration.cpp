@@ -2,13 +2,14 @@
 //
 // 1. A deterministic "virtual machine": per-routine analytic cost
 //    functions play the role of the hardware. Models are generated from
-//    them through the real Modeler strategies, predictions run through the
-//    real Predictor, and the resulting variant ranking must equal the
-//    ranking computed by summing the same cost function over the traces
-//    (ground truth). This exercises the entire pipeline end to end with
-//    zero measurement noise.
+//    them through the real generation strategies, predictions run through
+//    the reference Predictor, and the resulting variant ranking must equal
+//    the ranking computed by summing the same cost function over the
+//    traces (ground truth). This exercises the entire pipeline end to end
+//    with zero measurement noise.
 // 2. A real-measurement smoke test: tiny models are generated from actual
-//    timings on the naive backend; predictions must be positive, increase
+//    timings on the naive backend through the ModelService (the driver
+//    the Engine and dlapd use); predictions must be positive, increase
 //    with problem size, and round-trip through the on-disk repository.
 
 #include <gtest/gtest.h>
@@ -33,6 +34,7 @@
 #include "predict/predictor.hpp"
 #include "predict/ranking.hpp"
 #include "predict/trace.hpp"
+#include "service/model_service.hpp"
 
 namespace dlap {
 namespace {
@@ -127,6 +129,13 @@ RoutineModel vm_model(const ModelingRequest& req) {
   return m;
 }
 
+// Predicted median ticks of a trace: every call must have a model.
+double predicted_median(const Predictor& pred, const CallTrace& t) {
+  const Prediction p = pred.predict(t);
+  EXPECT_EQ(p.missing, 0);
+  return p.ticks.median;
+}
+
 ModelSet vm_trinv_models(index_t hi) {
   const Region d1({8}, {hi});
   const Region d2({8, 8}, {hi, hi});
@@ -152,7 +161,7 @@ TEST(IntegrationVM, TrinvRankingRecoveredExactly) {
   std::vector<double> predicted, truth;
   for (int v = 1; v <= 4; ++v) {
     const CallTrace t = trace_trinv(v, n, b);
-    predicted.push_back(pred.predict(t).ticks.median);
+    predicted.push_back(predicted_median(pred, t));
     truth.push_back(vm_trace_cost(t));
   }
   // The pipeline must (a) predict each variant's cost within a few
@@ -174,7 +183,7 @@ TEST(IntegrationVM, TrinvBlocksizeOptimumRecovered) {
   for (index_t b = 16; b <= 192; b += 16) {
     const CallTrace t = trace_trinv(3, 384, b);
     bsizes.push_back(b);
-    predicted.push_back(pred.predict(t).ticks.median);
+    predicted.push_back(predicted_median(pred, t));
     truth.push_back(vm_trace_cost(t));
   }
   const auto popt = rank_order(predicted)[0];
@@ -194,7 +203,7 @@ TEST(IntegrationVM, SylvGroupsSeparatedAndTopVariantsRanked) {
   std::vector<double> predicted, truth;
   for (int v = 1; v <= kSylvVariantCount; ++v) {
     const CallTrace t = trace_sylv(v, 384, 384, 96);
-    predicted.push_back(pred.predict(t).ticks.median);
+    predicted.push_back(predicted_median(pred, t));
     truth.push_back(vm_trace_cost(t));
   }
   // On the virtual machine the pull/pull schedules (k-rich gemms) are the
@@ -243,7 +252,7 @@ TEST(IntegrationVM, CholRankingRecoveredExactly) {
   std::vector<double> predicted, truth;
   for (int v = 1; v <= kCholVariantCount; ++v) {
     const CallTrace t = trace_chol(v, n, b);
-    predicted.push_back(pred.predict(t).ticks.median);
+    predicted.push_back(predicted_median(pred, t));
     truth.push_back(vm_trace_cost(t));
   }
   for (int v = 0; v < kCholVariantCount; ++v) {
@@ -254,76 +263,87 @@ TEST(IntegrationVM, CholRankingRecoveredExactly) {
 
 // --------------------------------------------------- real-sampler smoke
 
+// Sequential real-timing generation with a loose fit: a smoke test.
+ServiceConfig smoke_service_config(const std::filesystem::path& dir) {
+  ServiceConfig cfg;
+  cfg.repository_dir = dir;
+  cfg.persist_samples = false;
+  cfg.workers = 1;
+  cfg.refinement.base.error_bound = 0.50;
+  cfg.refinement.base.degree = 3;
+  cfg.refinement.min_region_size = 32;
+  return cfg;
+}
+
+ModelJob naive_job(RoutineId routine, std::vector<char> flags, Region domain,
+                   index_t fixed_ld, index_t reps) {
+  ModelJob job;
+  job.backend = "naive";
+  job.request.routine = routine;
+  job.request.flags = std::move(flags);
+  job.request.domain = std::move(domain);
+  job.request.fixed_ld = fixed_ld;
+  job.request.sampler.reps = reps;
+  job.request.sampler.locality = Locality::InCache;
+  return job;
+}
+
 TEST(IntegrationReal, ModelPredictStoreReloadRoundTrip) {
-  Modeler modeler(backend_instance("naive"));
-
-  ModelingRequest req;
-  req.routine = RoutineId::Trsm;
-  req.flags = {'L', 'L', 'N', 'N'};
-  req.domain = Region({8, 8}, {96, 96});
-  req.fixed_ld = 128;
-  // 3 reps: the median of 2 noisy timings occasionally lets a cubic fit
-  // dip below zero off-lattice under parallel-ctest load.
-  req.sampler.reps = 3;
-  req.sampler.locality = Locality::InCache;
-
-  RefinementConfig cfg;
-  cfg.base.error_bound = 0.50;  // loose: this is a smoke test
-  cfg.base.degree = 3;
-  cfg.min_region_size = 32;
-  const RoutineModel model = modeler.build_refinement(req, cfg);
-  EXPECT_GT(model.unique_samples, 0);
-  EXPECT_EQ(model.key.routine, "dtrsm");
-  EXPECT_EQ(model.key.backend, "naive");
-
-  // Bigger problems must predict more ticks.
-  const double small = model.model.evaluate(std::vector<index_t>{16, 16}).median;
-  const double large = model.model.evaluate(std::vector<index_t>{96, 96}).median;
-  EXPECT_GT(small, 0.0);
-  EXPECT_GT(large, small);
-
-  // Round-trip through the repository preserves predictions bit-exactly.
   const auto dir = std::filesystem::temp_directory_path() /
                    "dlaperf_integration_repo";
   std::filesystem::remove_all(dir);
-  ModelRepository repo(dir);
-  repo.store(model);
-  const RoutineModel back = repo.load(model.key);
+  // 3 reps: the median of 2 noisy timings occasionally lets a cubic fit
+  // dip below zero off-lattice under parallel-ctest load.
+  const ModelJob job = naive_job(RoutineId::Trsm, {'L', 'L', 'N', 'N'},
+                                 Region({8, 8}, {96, 96}), 128, 3);
+  std::shared_ptr<const RoutineModel> model;
+  {
+    ModelService service(smoke_service_config(dir));
+    model = service.generate_all({job}).at(0);
+  }
+  ASSERT_NE(model, nullptr);
+  EXPECT_GT(model->unique_samples, 0);
+  EXPECT_EQ(model->key.routine, "dtrsm");
+  EXPECT_EQ(model->key.backend, "naive");
+
+  // Bigger problems must predict more ticks.
+  const double small =
+      model->model.evaluate(std::vector<index_t>{16, 16}).median;
+  const double large =
+      model->model.evaluate(std::vector<index_t>{96, 96}).median;
+  EXPECT_GT(small, 0.0);
+  EXPECT_GT(large, small);
+
+  // Reloading the stored file preserves predictions bit-exactly.
+  const ModelRepository reopened(dir);
+  const RoutineModel back = reopened.load(model->key);
   for (index_t x = 8; x <= 96; x += 8) {
     const std::vector<index_t> p{x, x};
     EXPECT_DOUBLE_EQ(back.model.evaluate(p).median,
-                     model.model.evaluate(p).median);
+                     model->model.evaluate(p).median);
   }
   std::filesystem::remove_all(dir);
 }
 
-TEST(IntegrationReal, ModelerBatchGeneratesInRequestOrder) {
-  Modeler modeler(backend_instance("naive"));
-
-  ModelingRequest trsm;
-  trsm.routine = RoutineId::Trsm;
-  trsm.flags = {'L', 'L', 'N', 'N'};
-  trsm.domain = Region({8, 8}, {48, 48});
-  trsm.fixed_ld = 64;
-  trsm.sampler.reps = 2;
-  ModelingRequest trmm = trsm;
-  trmm.routine = RoutineId::Trmm;
-  trmm.flags = {'R', 'L', 'N', 'N'};
-
-  RefinementConfig cfg;
-  cfg.base.error_bound = 0.50;  // loose: this is a smoke test
-  cfg.min_region_size = 32;
-  const std::vector<RoutineModel> models =
-      modeler.build_batch({trsm, trmm}, cfg);
+TEST(IntegrationReal, ServiceBatchGeneratesInRequestOrder) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "dlaperf_integration_batch";
+  std::filesystem::remove_all(dir);
+  const Region domain({8, 8}, {48, 48});
+  ModelService service(smoke_service_config(dir));
+  const auto models = service.generate_all(
+      {naive_job(RoutineId::Trsm, {'L', 'L', 'N', 'N'}, domain, 64, 2),
+       naive_job(RoutineId::Trmm, {'R', 'L', 'N', 'N'}, domain, 64, 2)});
   ASSERT_EQ(models.size(), 2u);
-  EXPECT_EQ(models[0].key.routine, "dtrsm");
-  EXPECT_EQ(models[1].key.routine, "dtrmm");
-  for (const RoutineModel& m : models) {
-    EXPECT_EQ(m.key.backend, "naive");
-    EXPECT_EQ(m.strategy, "refinement");
-    EXPECT_GT(m.unique_samples, 0);
-    EXPECT_GT(m.model.evaluate(std::vector<index_t>{32, 32}).median, 0.0);
+  EXPECT_EQ(models[0]->key.routine, "dtrsm");
+  EXPECT_EQ(models[1]->key.routine, "dtrmm");
+  for (const auto& m : models) {
+    EXPECT_EQ(m->key.backend, "naive");
+    EXPECT_EQ(m->strategy, "refinement");
+    EXPECT_GT(m->unique_samples, 0);
+    EXPECT_GT(m->model.evaluate(std::vector<index_t>{32, 32}).median, 0.0);
   }
+  std::filesystem::remove_all(dir);
 }
 
 // Best-of-reps ticks of really executing chol variant `variant` on
@@ -410,7 +430,6 @@ TEST(IntegrationReal, CholPredictedBestMatchesMeasuredBestUsually) {
 }
 
 TEST(IntegrationReal, ExpansionStrategyOnRealMeasurements) {
-  Modeler modeler(backend_instance("naive"));
   ModelingRequest req;
   req.routine = RoutineId::Gemm;
   req.flags = {'N', 'N'};
@@ -423,9 +442,10 @@ TEST(IntegrationReal, ExpansionStrategyOnRealMeasurements) {
   cfg.base.degree = 3;
   cfg.initial_size = 32;
   cfg.direction = ExpansionConfig::Direction::TowardOrigin;
-  const RoutineModel model = modeler.build_expansion(req, cfg);
-  EXPECT_GT(model.unique_samples, 0);
-  EXPECT_GT(model.model.evaluate(std::vector<index_t>{64, 64, 64}).median,
+  const GenerationResult gen = generate_model_expansion(
+      req.domain, make_measure_fn(backend_instance("naive"), req), cfg);
+  EXPECT_GT(gen.unique_samples, 0);
+  EXPECT_GT(gen.model.evaluate(std::vector<index_t>{64, 64, 64}).median,
             0.0);
 }
 

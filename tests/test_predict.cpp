@@ -201,98 +201,19 @@ TEST(Predictor, StddevCombinesAsRootSumOfSquares) {
   EXPECT_NEAR(p.ticks.stddev, std::sqrt(4 * 9.0), 1e-9);
 }
 
-TEST(Predictor, StrictModeThrowsOnMissingModel) {
-  ModelSet set;  // empty
-  const Predictor strict(set);
-  EXPECT_THROW(strict.predict(trace_trinv(1, 128, 64)), lookup_error);
+TEST(Predictor, CountsMissingModelsWithoutThrowing) {
+  const ModelSet empty;
+  const Prediction none = Predictor(empty).predict(trace_trinv(1, 128, 64));
+  EXPECT_GT(none.missing, 0);
+  EXPECT_EQ(none.calls, 0);
 
-  PredictionOptions opts;
-  opts.strict = false;
-  const Predictor lax(set, opts);
-  const Prediction p = lax.predict(trace_trinv(1, 128, 64));
-  EXPECT_GT(p.missing, 0);
-  EXPECT_EQ(p.calls, 0);
-}
-
-TEST(Predictor, SkipEmptyCallsOptional) {
-  const ModelSet set = trinv_v1_models(10.0, 20.0, 5.0);
-  PredictionOptions opts;
-  opts.skip_empty_calls = false;
-  const Predictor pred(set, opts);
-  // Degenerate calls now get evaluated via domain clamping.
-  const Prediction p = pred.predict(trace_trinv(1, 250, 100));
-  EXPECT_EQ(p.skipped, 0);
-  EXPECT_EQ(p.calls, 9);
-}
-
-TEST(Predictor, PredictCallEvaluatesSingleModel) {
-  const ModelSet set = trinv_v1_models(10.0, 20.0, 5.0);
-  const Predictor pred(set);
-  const SampleStats s = pred.predict_call(parse_call("trinv1_unb(64,A,64)"));
-  EXPECT_DOUBLE_EQ(s.median, 5.0);
-  EXPECT_THROW(pred.predict_call(parse_call("trinv2_unb(64,A,64)")),
-               lookup_error);
-}
-
-TEST(Predictor, PredictReportNamesMissingKeysWithoutThrowing) {
   ModelSet set;
   set.add(constant_model("dtrmm", "RLNN", 2, 10.0));  // trsm/unb missing
-  const Predictor pred(set);  // strict by default; report must not throw
-  const PredictReport report = pred.predict_report(trace_trinv(1, 250, 100));
-  EXPECT_FALSE(report.complete());
-  // Two distinct keys miss (dtrsm LLNN, trinv1_unb), several calls each.
-  ASSERT_EQ(report.missing_keys.size(), 2u);
-  EXPECT_GT(report.prediction.missing, 2);
-  EXPECT_EQ(report.prediction.calls, 2);  // the two covered trmm calls
-  const auto key = std::make_pair(std::string("dtrsm"), std::string("LLNN"));
-  EXPECT_NE(std::find(report.missing_keys.begin(), report.missing_keys.end(),
-                      key),
-            report.missing_keys.end());
-}
-
-TEST(Predictor, TablePathBitIdenticalToStringPath) {
-  const ModelSet set = trinv_v1_models(11.5, 23.25, 5.75);
-  const Predictor pred(set);
-  const CallTrace trace = trace_trinv(1, 250, 100);
-  const Prediction via_strings = pred.predict(trace);
-
-  // Build the dense-table view by hand: intern each call's key.
-  std::vector<const RoutineModel*> table;
-  std::vector<std::pair<std::string, std::string>> keys;
-  std::vector<int> ids;
-  for (const KernelCall& call : trace) {
-    const auto key = std::make_pair(std::string(routine_name(call.routine)),
-                                    call.flag_key());
-    const auto it = std::find(keys.begin(), keys.end(), key);
-    if (it == keys.end()) {
-      keys.push_back(key);
-      table.push_back(set.find(key.first, key.second));
-      ids.push_back(static_cast<int>(keys.size()) - 1);
-    } else {
-      ids.push_back(static_cast<int>(it - keys.begin()));
-    }
-  }
-  const Prediction via_table = predict_with_table(trace, ids, table);
-  EXPECT_EQ(via_table.ticks.min, via_strings.ticks.min);
-  EXPECT_EQ(via_table.ticks.median, via_strings.ticks.median);
-  EXPECT_EQ(via_table.ticks.mean, via_strings.ticks.mean);
-  EXPECT_EQ(via_table.ticks.max, via_strings.ticks.max);
-  EXPECT_EQ(via_table.ticks.stddev, via_strings.ticks.stddev);
-  EXPECT_EQ(via_table.flops, via_strings.flops);
-  EXPECT_EQ(via_table.calls, via_strings.calls);
-  EXPECT_EQ(via_table.skipped, via_strings.skipped);
-  EXPECT_EQ(via_table.missing, via_strings.missing);
-}
-
-TEST(Predictor, TablePathCountsUnresolvedIdsAsMissing) {
-  const CallTrace trace = trace_trinv(1, 128, 64);
-  const std::vector<int> ids(trace.size(), -1);
-  const Prediction p = predict_with_table(trace, ids, {});
-  EXPECT_EQ(p.calls, 0);
-  EXPECT_GT(p.missing, 0);
-  EXPECT_THROW(
-      (void)predict_with_table(trace, std::vector<int>(2, 0), {}),
-      invalid_argument_error);  // id/trace length mismatch
+  const Prediction p = Predictor(set).predict(trace_trinv(1, 250, 100));
+  EXPECT_EQ(p.calls, 2);  // the two covered trmm calls
+  EXPECT_EQ(p.missing, 5);  // 2 dtrsm + 3 trinv1_unb
+  EXPECT_EQ(p.skipped, 2);
+  EXPECT_DOUBLE_EQ(p.ticks.median, 2 * 10.0);
 }
 
 TEST(Predictor, EfficiencyMedianDefinedOnDegenerateInputs) {

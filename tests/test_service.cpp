@@ -1,7 +1,8 @@
 // Tests for the ModelService pipeline: concurrent batch generation
-// (deterministic and bit-identical to the sequential path), the
-// thread-safe repository under concurrent writers, and the
-// repository-backed predictor's lazy-load / on-demand / miss paths.
+// (deterministic and bit-identical to the sequential path) and the
+// thread-safe repository under concurrent writers. Lazy loading and
+// on-demand generation during prediction are covered by the Engine tests
+// (test_api.cpp).
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,6 @@
 #include "ops/registry.hpp"
 #include "predict/trace.hpp"
 #include "service/model_service.hpp"
-#include "service/repository_predictor.hpp"
 
 namespace dlap {
 namespace {
@@ -442,66 +442,6 @@ TEST(ModelRepository, StoreLoadRoundTripUnderConcurrentWriters) {
               ModelRepository::serialize(m));
   }
   EXPECT_EQ(reopened.cache_size(), models.size());
-  fs::remove_all(dir);
-}
-
-// --------------------------------------------- repository-backed predict
-
-CallTrace trsm_trace(index_t m, index_t n) {
-  KernelCall call;
-  call.routine = RoutineId::Trsm;
-  call.flags = {'L', 'L', 'N', 'N'};
-  call.sizes = {m, n};
-  call.scalars = {1.0};
-  call.leads = {std::max<index_t>(m, 256), std::max<index_t>(m, 256)};
-  return {call};
-}
-
-TEST(RepositoryBackedPredictor, LazilyLoadsStoredModels) {
-  const fs::path dir = fresh_dir("dlap_pred_lazy");
-  ModelService service(synthetic_config(dir, 2));
-  (void)service.generate_all(four_jobs());
-
-  RepositoryBackedPredictor pred(service, "blocked", Locality::InCache);
-  EXPECT_EQ(pred.loaded_models(), 0u);
-
-  const Prediction p = pred.predict(trsm_trace(64, 64));
-  EXPECT_EQ(p.calls, 1);
-  EXPECT_GT(p.ticks.median, 0.0);
-  EXPECT_EQ(pred.loaded_models(), 1u);  // only the model the trace needed
-
-  // Second prediction resolves from the predictor's local view.
-  (void)pred.predict(trsm_trace(96, 96));
-  EXPECT_EQ(pred.loaded_models(), 1u);
-  fs::remove_all(dir);
-}
-
-TEST(RepositoryBackedPredictor, MissPathsFollowOptionsAndPlans) {
-  const fs::path dir = fresh_dir("dlap_pred_miss");
-  ModelService service(synthetic_config(dir, 2));
-
-  // Nothing generated, no plan: strict throws, non-strict counts.
-  RepositoryBackedPredictor strict(service, "blocked", Locality::InCache);
-  EXPECT_THROW((void)strict.predict(trsm_trace(64, 64)), lookup_error);
-
-  PredictionOptions lax;
-  lax.strict = false;
-  RepositoryBackedPredictor tolerant(service, "blocked", Locality::InCache,
-                                     lax);
-  const Prediction missed = tolerant.predict(trsm_trace(64, 64));
-  EXPECT_EQ(missed.calls, 0);
-  EXPECT_EQ(missed.missing, 1);
-  EXPECT_EQ(tolerant.loaded_models(), 0u);
-
-  // With a plan, the miss triggers on-demand generation instead.
-  RepositoryBackedPredictor planned(service, "blocked", Locality::InCache);
-  planned.plan(four_jobs().front().request);
-  const Prediction hit = planned.predict(trsm_trace(64, 64));
-  EXPECT_EQ(hit.calls, 1);
-  EXPECT_GT(hit.ticks.median, 0.0);
-  EXPECT_EQ(planned.loaded_models(), 1u);
-  EXPECT_TRUE(service.repository().contains(
-      ModelService::key_for(four_jobs().front())));
   fs::remove_all(dir);
 }
 
