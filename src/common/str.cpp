@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <system_error>
 
 #include "common/types.hpp"
 
@@ -67,12 +69,19 @@ long long parse_int(std::string_view s) {
 
 double parse_double(std::string_view s) {
   s = trim(s);
-  // std::from_chars for double is available in libstdc++ 11+; use it and
-  // fall back to strtod semantics through a NUL-terminated copy otherwise.
+  double value = 0.0;
+  const char* last = s.data() + s.size();
+  if (const auto [ptr, ec] = std::from_chars(s.data(), last, value);
+      ec == std::errc() && ptr == last && !std::isnan(value)) {
+    return value;
+  }
+  // strtod accepts what from_chars refuses or reads differently: a
+  // leading '+', hex, out-of-range values (rounded to 0 or +-inf) and NaN
+  // payloads. Keep accepting them, with strtod's values.
   std::string buf(s);
   if (buf.empty()) throw parse_error("not a number: ''");
   char* end = nullptr;
-  const double value = std::strtod(buf.c_str(), &end);
+  value = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) {
     throw parse_error("not a number: '" + buf + "'");
   }

@@ -72,14 +72,28 @@ const std::string* HttpResponse::header(std::string_view name) const {
 }
 
 std::string HttpResponse::serialize() const {
-  std::string out = "HTTP/1.1 ";
-  out += std::to_string(status);
-  out += ' ';
-  out += reason_phrase(status);
-  out += "\r\n";
+  const std::string_view reason = reason_phrase(status);
+  const std::string code = std::to_string(status);
   bool have_length = false;
+  std::size_t size = 0;
   for (const auto& [key, value] : headers) {
     if (iequals(key, "Content-Length")) have_length = true;
+    size += key.size() + value.size() + 4;  // ": " and CRLF
+  }
+  const std::string length =
+      have_length ? std::string() : std::to_string(body.size());
+  // "HTTP/1.1 " code ' ' reason CRLF, headers, optional Content-Length
+  // line, CRLF, body.
+  size += 9 + code.size() + 1 + reason.size() + 2 +
+          (have_length ? 0 : 16 + length.size() + 2) + 2 + body.size();
+  std::string out;
+  out.reserve(size);
+  out += "HTTP/1.1 ";
+  out += code;
+  out += ' ';
+  out += reason;
+  out += "\r\n";
+  for (const auto& [key, value] : headers) {
     out += key;
     out += ": ";
     out += value;
@@ -87,7 +101,7 @@ std::string HttpResponse::serialize() const {
   }
   if (!have_length) {
     out += "Content-Length: ";
-    out += std::to_string(body.size());
+    out += length;
     out += "\r\n";
   }
   out += "\r\n";

@@ -1,8 +1,10 @@
 #include "server/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <system_error>
 
 namespace dlap::server {
 
@@ -14,6 +16,38 @@ constexpr double kMaxExactInteger = 9007199254740992.0;
 
 [[noreturn]] void parse_fail(std::size_t offset, const std::string& what) {
   throw parse_error("json:" + std::to_string(offset) + ": " + what);
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// For a grammatical number literal that std::from_chars reports out of
+/// range (its nearest double is 0 or infinite): true when it overflows,
+/// false when it underflows. The decimal place of the first significant
+/// digit plus the exponent decides; the two cases lie hundreds of
+/// decades apart, so the sign of that sum is exact.
+bool overflows(std::string_view token) {
+  std::size_t i = token.front() == '-' ? 1 : 0;
+  const std::size_t int_start = i;
+  while (i < token.size() && is_digit(token[i])) ++i;
+  auto place = static_cast<long long>(i - int_start);
+  if (token[int_start] == '0') {  // 0.000ddd: count the zeros after '.'
+    place = 0;
+    if (i < token.size() && token[i] == '.') {
+      for (++i; i < token.size() && token[i] == '0'; ++i) --place;
+    }
+  }
+  long long exponent = 0;
+  if (const std::size_t e = token.find_first_of("eE", i);
+      e != std::string_view::npos) {
+    std::size_t j = e + 1;
+    const bool negative = token[j] == '-';
+    if (token[j] == '+' || token[j] == '-') ++j;
+    for (; j < token.size(); ++j) {
+      exponent = std::min(exponent * 10 + (token[j] - '0'), 1'000'000'000LL);
+    }
+    if (negative) exponent = -exponent;
+  }
+  return place + exponent > 0;
 }
 
 struct Reader {
@@ -156,15 +190,19 @@ struct Reader {
     expect('"', "string");
     std::string out;
     while (true) {
+      // Copy the run up to the next quote, escape or control character in
+      // one append.
+      const std::size_t run = pos;
+      while (!done() && peek() != '"' && peek() != '\\' &&
+             static_cast<unsigned char>(peek()) >= 0x20) {
+        ++pos;
+      }
+      out.append(text.data() + run, pos - run);
       if (done()) parse_fail(pos, "unterminated string");
       const char c = text[pos++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        parse_fail(pos - 1, "unescaped control character in string");
-      }
       if (c != '\\') {
-        out.push_back(c);
-        continue;
+        parse_fail(pos - 1, "unescaped control character in string");
       }
       if (done()) parse_fail(pos, "truncated escape");
       const char e = text[pos++];
@@ -201,32 +239,62 @@ struct Reader {
     }
   }
 
+  // Skips a run of digits; false when there is none.
+  bool digits() {
+    const std::size_t first = pos;
+    while (!done() && is_digit(peek())) ++pos;
+    return pos != first;
+  }
+
+  // RFC 8259: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?, then
+  // converted in place by std::from_chars.
   Json parse_number() {
     const std::size_t start = pos;
-    if (!done() && peek() == '-') ++pos;
-    while (!done() && peek() >= '0' && peek() <= '9') ++pos;
+    if (peek() == '-') ++pos;
+    const std::size_t int_start = pos;
+    if (!digits()) parse_fail(pos, "expected a digit in number");
+    if (text[int_start] == '0' && pos - int_start > 1) {
+      parse_fail(int_start, "leading zero in number");
+    }
     if (!done() && peek() == '.') {
       ++pos;
-      while (!done() && peek() >= '0' && peek() <= '9') ++pos;
+      if (!digits()) parse_fail(pos, "expected a digit after '.'");
     }
     if (!done() && (peek() == 'e' || peek() == 'E')) {
       ++pos;
       if (!done() && (peek() == '+' || peek() == '-')) ++pos;
-      while (!done() && peek() >= '0' && peek() <= '9') ++pos;
+      if (!digits()) parse_fail(pos, "expected a digit in exponent");
     }
-    const std::string token(text.substr(start, pos - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
-      parse_fail(start, "malformed number '" + token + "'");
+    const std::string_view token = text.substr(start, pos - start);
+    double value = 0.0;
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (ec == std::errc::result_out_of_range) {
+      // Underflow reads as a signed zero, as strtod rounds it.
+      if (overflows(token)) {
+        parse_fail(start, "number out of range '" + std::string(token) + "'");
+      }
+      value = token.front() == '-' ? -0.0 : 0.0;
+    } else if (ec != std::errc() || end != token.data() + token.size()) {
+      parse_fail(start, "malformed number '" + std::string(token) + "'");
     }
     return Json::number(value);
   }
 };
 
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
 void dump_string(const std::string& s, std::string* out) {
   out->push_back('"');
-  for (const char c : s) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    // Append the run up to the next character that needs an escape.
+    const std::size_t run = i;
+    while (i < s.size() && !needs_escape(s[i])) ++i;
+    out->append(s, run, i - run);
+    if (i == s.size()) break;
+    const char c = s[i];
     switch (c) {
       case '"': *out += "\\\""; break;
       case '\\': *out += "\\\\"; break;
@@ -235,26 +303,26 @@ void dump_string(const std::string& s, std::string* out) {
       case '\n': *out += "\\n"; break;
       case '\r': *out += "\\r"; break;
       case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        *out += buf;
+      }
     }
   }
   out->push_back('"');
 }
 
 void dump_number(double v, std::string* out) {
-  // %.17g round-trips every finite double exactly; integral values print
-  // without a decimal point, so integers stay integers on the wire.
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  *out += buf;
+  // Precision 17 round-trips every finite double exactly, and the standard
+  // defines general-format to_chars as printf("%.17g")'s characters:
+  // integral values print without a decimal point, so integers stay
+  // integers on the wire.
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out->append(buf, r.ptr);
 }
 
 void dump_value(const Json& v, std::string* out) {
@@ -385,7 +453,7 @@ const std::vector<std::pair<std::string, Json>>& Json::members() const {
   return object_;
 }
 
-Json& Json::set(std::string key, Json value) {
+Json& Json::set(std::string key, Json value) & {
   DLAP_REQUIRE(type_ == Type::Object, "Json::set on non-object");
   for (auto& [name, existing] : object_) {
     if (name == key) {
@@ -397,10 +465,18 @@ Json& Json::set(std::string key, Json value) {
   return *this;
 }
 
-Json& Json::push_back(Json value) {
+Json&& Json::set(std::string key, Json value) && {
+  return std::move(set(std::move(key), std::move(value)));
+}
+
+Json& Json::push_back(Json value) & {
   DLAP_REQUIRE(type_ == Type::Array, "Json::push_back on non-array");
   array_.push_back(std::move(value));
   return *this;
+}
+
+Json&& Json::push_back(Json value) && {
+  return std::move(push_back(std::move(value)));
 }
 
 std::string Json::dump() const {

@@ -4,12 +4,18 @@
 // Scope is deliberately small: the daemon's request bodies and responses
 // are flat objects of numbers, strings and short arrays, so this is a
 // straightforward recursive-descent parser (depth-limited) over a
-// variant-style value. Numbers are IEEE doubles written with enough
-// digits (%.17g) to round-trip bit-exactly -- the server's "responses
-// bit-identical to in-process Engine calls" gate rides on that. Parse
-// errors throw dlap::parse_error naming the byte offset; binding errors
-// (wrong type, missing field) are produced by the handler layer, which
-// names the field (server/handlers.hpp).
+// variant-style value. Numbers are IEEE doubles written by
+// std::to_chars(general, precision 17): the standard defines that output
+// as printf("%.17g")'s characters, so it round-trips every finite double
+// bit-exactly -- the server's "responses bit-identical to in-process
+// Engine calls" gate rides on that. Numbers are read with
+// std::from_chars under the RFC 8259 grammar (no leading zeros, no bare
+// '.', a digit after '.' and in the exponent); an underflowing literal
+// reads as a signed zero, an overflowing one is an error. Neither
+// direction depends on the process locale. Parse errors throw
+// dlap::parse_error naming the byte offset; binding errors (wrong type,
+// missing field) are produced by the handler layer, which names the
+// field (server/handlers.hpp).
 
 #include <cstddef>
 #include <string>
@@ -76,11 +82,16 @@ class Json {
   [[nodiscard]] const std::vector<std::pair<std::string, Json>>& members()
       const;
 
-  /// Object insert/overwrite; returns *this for chaining.
-  Json& set(std::string key, Json value);
+  /// Object insert/overwrite; returns *this for chaining. On a temporary
+  /// (`Json::object().set(...).set(...)`) the chain moves the value out
+  /// instead of copying the tree.
+  Json& set(std::string key, Json value) &;
+  Json&& set(std::string key, Json value) &&;
 
-  /// Array append; returns *this for chaining.
-  Json& push_back(Json value);
+  /// Array append; returns *this for chaining (moved out of a temporary,
+  /// as for set).
+  Json& push_back(Json value) &;
+  Json&& push_back(Json value) &&;
 
   /// Compact wire form (no whitespace; keys in insertion order).
   [[nodiscard]] std::string dump() const;

@@ -5,6 +5,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
 
 #include "common/env.hpp"
@@ -74,6 +80,49 @@ TEST(Str, ParseDoubleRejectsGarbage) {
   EXPECT_THROW((void)parse_double("abc"), parse_error);
   EXPECT_THROW((void)parse_double("1.2.3"), parse_error);
   EXPECT_THROW((void)parse_double(""), parse_error);
+  EXPECT_THROW((void)parse_double("1e"), parse_error);
+  EXPECT_THROW((void)parse_double("+"), parse_error);
+  EXPECT_THROW((void)parse_double("1 2"), parse_error);
+  EXPECT_THROW((void)parse_double("0x"), parse_error);
+}
+
+TEST(Str, ParseDoubleKeepsStrtodForms) {
+  // from_chars refuses or reads these differently; they keep strtod's
+  // acceptance and values.
+  EXPECT_EQ(parse_double(" 2.5 "), 2.5);
+  EXPECT_EQ(parse_double("+1"), 1.0);
+  EXPECT_EQ(parse_double("inf"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parse_double("-Infinity"),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parse_double("1e400"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parse_double("0x10"), 16.0);
+  const double underflow = parse_double("1e-400");
+  EXPECT_EQ(underflow, 0.0);
+  EXPECT_FALSE(std::signbit(underflow));
+  EXPECT_TRUE(std::signbit(parse_double("-1e-400")));
+  EXPECT_TRUE(std::isnan(parse_double("nan")));
+  // strtod keeps a NaN's payload; so does parse_double.
+  const double payload = parse_double("nan(123)");
+  const double expected = std::strtod("nan(123)", nullptr);
+  EXPECT_EQ(std::memcmp(&payload, &expected, sizeof payload), 0);
+}
+
+TEST(Str, ParseDoubleMatchesStrtodBitForBit) {
+  std::mt19937_64 rng(7);
+  char buf[40];
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double x = 0.0;
+    std::memcpy(&x, &bits, sizeof x);
+    std::snprintf(buf, sizeof buf, i % 2 == 0 ? "%.17g" : "%.6e", x);
+    const double parsed = parse_double(buf);
+    const double expected = std::strtod(buf, nullptr);
+    if (std::isnan(expected)) {
+      ASSERT_TRUE(std::isnan(parsed)) << buf;
+    } else {
+      ASSERT_EQ(std::memcmp(&parsed, &expected, sizeof parsed), 0) << buf;
+    }
+  }
 }
 
 // -------------------------------------------------------------------- env

@@ -19,12 +19,19 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -225,6 +232,14 @@ TEST(HttpResponse, SerializeAddsContentLengthAndReason) {
   EXPECT_NE(wire.find("HTTP/1.1 404 Not Found\r\n"), std::string::npos);
   EXPECT_NE(wire.find("Content-Length: 7\r\n"), std::string::npos);
   EXPECT_NE(wire.find("\r\n\r\n{\"a\":1}"), std::string::npos);
+  EXPECT_EQ(wire,
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+            "Content-Length: 7\r\n\r\n{\"a\":1}");
+  // An explicit Content-Length is kept as set, not doubled.
+  response.set_header("Content-Length", "7");
+  EXPECT_EQ(response.serialize(),
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+            "Content-Length: 7\r\n\r\n{\"a\":1}");
   EXPECT_STREQ(reason_phrase(503), "Service Unavailable");
   EXPECT_STREQ(reason_phrase(429), "Too Many Requests");
 }
@@ -246,9 +261,9 @@ TEST(Json, ParsesScalarsArraysObjects) {
 }
 
 TEST(Json, NumbersRoundTripBitExactly) {
-  // The wire format prints %.17g, so every double survives
-  // dump -> parse -> dump byte-identically. The server's "bit-identical
-  // to direct Engine calls" gate rides on this.
+  // Precision-17 output round-trips every finite double, so every value
+  // survives dump -> parse -> dump byte-identically. The server's
+  // "bit-identical to direct Engine calls" gate rides on this.
   for (double x : {0.1, 1.0 / 3.0, 1e300, -1e-300, 6.02214076e23,
                    123456789.123456789, -0.0}) {
     const Json v = Json::number(x);
@@ -258,6 +273,187 @@ TEST(Json, NumbersRoundTripBitExactly) {
     const double y = back.as_number();
     EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0) << once;
   }
+}
+
+std::string printf_g17(double x) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", x);
+  return buf;
+}
+
+// The wire contract for numbers: Json::number(x).dump() is printf's
+// "%.17g" byte for byte, and parse(dump(x)) gives back x's exact bits.
+void expect_number_contract(double x) {
+  const std::string wire = Json::number(x).dump();
+  ASSERT_EQ(wire, printf_g17(x));
+  if (!std::isfinite(x)) return;  // inf/nan have no JSON spelling
+  const double back = Json::parse(wire).as_number();
+  ASSERT_EQ(std::memcmp(&x, &back, sizeof x), 0) << wire;
+}
+
+TEST(Json, NumberDumpIsPrintfG17ByteForByte) {
+  const double smallest_subnormal = std::numeric_limits<double>::denorm_min();
+  for (const double x :
+       {0.0, -0.0, smallest_subnormal, -smallest_subnormal, DBL_MIN, DBL_MAX,
+        -DBL_MAX,
+        // 2^53 - 1, 2^53 and 2^53 + 2 (2^53 + 1 is not a double).
+        9007199254740992.0 - 1.0, 9007199254740992.0,
+        9007199254740992.0 + 2.0, 1e16, 1e17, 1e21, -1e21, 0.1, 0.5, 1.0,
+        -1.0, 42.0, 123456789.0, 1e-5, 1e-4, 1e15,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    expect_number_contract(x);
+  }
+  for (index_t i = -1000; i <= 1000; ++i) {
+    expect_number_contract(static_cast<double>(i));
+  }
+  // Fixed-seed sweep of random bit patterns: every exponent, sign,
+  // subnormals, infinities and NaNs alike.
+  std::mt19937_64 rng(20120917);
+  for (int i = 0; i < 120000; ++i) {
+    const std::uint64_t bits = rng();
+    double x = 0.0;
+    std::memcpy(&x, &bits, sizeof x);
+    expect_number_contract(x);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Json, UnderflowReadsAsZeroAndOverflowIsAnError) {
+  // A literal whose nearest double is 0 reads as that (signed) zero, the
+  // value strtod gives it; one whose nearest double is infinite is a
+  // parse error.
+  const std::string tiny = "0." + std::string(400, '0') + "1";
+  for (const std::string& text :
+       {std::string("1e-400"), std::string("-1e-400"),
+        std::string("2.4703282292062327e-324"), std::string("-2e-324"),
+        std::string("1e-99999999999999999999"), tiny, "-" + tiny,
+        "1" + std::string(10, '0') + "e-340"}) {
+    const double value = Json::parse(text).as_number();
+    const double expected = std::strtod(text.c_str(), nullptr);
+    EXPECT_EQ(expected, 0.0) << text;
+    EXPECT_EQ(std::memcmp(&value, &expected, sizeof value), 0) << text;
+  }
+  EXPECT_FALSE(std::signbit(Json::parse("1e-400").as_number()));
+  EXPECT_TRUE(std::signbit(Json::parse("-1e-400").as_number()));
+  // The smallest subnormal and its rounding neighbours stay exact.
+  EXPECT_EQ(Json::parse("2.4703282292062328e-324").as_number(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(Json::parse("1e-320").as_number(), std::strtod("1e-320", nullptr));
+
+  for (const std::string& text :
+       {std::string("1e400"), std::string("-1e400"),
+        std::string("1.7976931348623159e308"),
+        std::string("1e99999999999999999999"), "1" + std::string(400, '0'),
+        "1" + std::string(400, '0') + "e-10",
+        std::string("{\"a\": [1e400]}")}) {
+    try {
+      (void)Json::parse(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const parse_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("json:", 0), 0u) << e.what();
+    }
+  }
+  EXPECT_EQ(Json::parse("1.7976931348623157e308").as_number(), DBL_MAX);
+}
+
+TEST(Json, NumberGrammarIsRfc8259) {
+  // Each malformed literal fails with the offset of the offending byte.
+  const std::pair<const char*, const char*> rejected[] = {
+      {"01", "json:0:"},   {"-01", "json:1:"}, {"1.", "json:2:"},
+      {"-.5", "json:1:"},  {"-", "json:1:"},   {"1e", "json:2:"},
+      {"1e+", "json:3:"},  {"1E-", "json:3:"}, {"1.e5", "json:2:"},
+      {"00", "json:0:"},   {"[1, 02]", "json:4:"},
+      {"{\"n\": 1.}", "json:8:"}};
+  for (const auto& [text, offset] : rejected) {
+    try {
+      (void)Json::parse(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const parse_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(offset, 0), 0u)
+          << text << " -> " << e.what();
+    }
+  }
+  const std::pair<const char*, double> accepted[] = {
+      {"0", 0.0},       {"-0", -0.0},         {"0.5", 0.5},
+      {"10", 10.0},     {"1e5", 1e5},         {"1E+5", 1e5},
+      {"-1.5e-3", -1.5e-3}, {"0e7", 0.0},     {"2.50", 2.5}};
+  for (const auto& [text, value] : accepted) {
+    EXPECT_EQ(Json::parse(text).as_number(), value) << text;
+  }
+  EXPECT_TRUE(std::signbit(Json::parse("-0").as_number()));
+}
+
+// Random JSON trees for the parse/dump property: objects, arrays,
+// strings over every byte value (quotes, backslashes and control
+// characters need escapes), numbers from random bit patterns, bools and
+// null.
+Json random_json(std::mt19937_64& rng, int depth) {
+  const auto pick = [&](std::uint64_t n) { return rng() % n; };
+  const auto random_string = [&] {
+    std::string s(pick(12), '\0');
+    for (char& c : s) c = static_cast<char>(pick(256));
+    return s;
+  };
+  switch (pick(depth > 0 ? 7 : 5)) {
+    case 0: return Json();
+    case 1: return Json::boolean(pick(2) == 1);
+    case 2: {
+      double x = 0.0;
+      do {
+        const std::uint64_t bits = rng();
+        std::memcpy(&x, &bits, sizeof x);
+      } while (!std::isfinite(x));
+      return Json::number(x);
+    }
+    case 3: return Json::number(static_cast<index_t>(pick(2001)) - 1000);
+    case 4: return Json::string(random_string());
+    case 5: {
+      Json array = Json::array();
+      for (std::uint64_t i = pick(5); i > 0; --i) {
+        array.push_back(random_json(rng, depth - 1));
+      }
+      return array;
+    }
+    default: {
+      Json object = Json::object();
+      for (std::uint64_t i = pick(5); i > 0; --i) {
+        object.set(random_string(), random_json(rng, depth - 1));
+      }
+      return object;
+    }
+  }
+}
+
+TEST(Json, ParseOfDumpIsTheIdentityOnRandomTrees) {
+  std::mt19937_64 rng(1209236);
+  for (int i = 0; i < 20000; ++i) {
+    const Json value = random_json(rng, 5);
+    const std::string wire = value.dump();
+    Json back;
+    ASSERT_NO_THROW(back = Json::parse(wire)) << wire;
+    ASSERT_EQ(back.dump(), wire);
+  }
+}
+
+TEST(Json, TemporaryChainsBuildTheSameTree) {
+  // set/push_back on a temporary move the tree along the chain; the
+  // result equals the one built step by step on a named value.
+  Json inner = Json::array();
+  inner.push_back(Json::number(1.5)).push_back(Json::string("x"));
+  Json named = Json::object();
+  named.set("a", inner).set("b", Json::boolean(true)).set("a", Json());
+  const Json chained =
+      Json::object()
+          .set("a", Json::array()
+                        .push_back(Json::number(1.5))
+                        .push_back(Json::string("x")))
+          .set("b", Json::boolean(true))
+          .set("a", Json());
+  EXPECT_EQ(chained.dump(), "{\"a\":null,\"b\":true}");
+  EXPECT_EQ(chained.dump(), named.dump());
+  EXPECT_EQ(inner.dump(), "[1.5,\"x\"]");
 }
 
 TEST(Json, ParseErrorsNameTheOffset) {
